@@ -8,7 +8,9 @@ recipient reconstructs
 because the DCT and ``A`` are both linear.  ``secret_diff`` and
 ``correction_diff`` are the *unshifted* pixel renderings of the secret
 image and of the sign-correction image — both derivable from the secret
-part alone, so no extra information is needed from the PSP.
+part alone, so no extra information is needed from the PSP.  They share
+one quantisation basis, so they are summed as integer coefficients
+first and rendered together in a single dequantise + inverse DCT pass.
 
 The only error sources are the ones the paper's footnote 8 lists:
 JPEG re-quantization of the served public part and integer rounding of
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.reconstruction import correction_image
+from repro.core.reconstruction import recombine_block_arrays
 from repro.jpeg.color import ycbcr_to_rgb
 from repro.jpeg.decoder import coefficients_to_planes
-from repro.jpeg.structures import CoefficientImage
+from repro.jpeg.structures import CoefficientImage, ComponentInfo
 from repro.transforms.operators import LinearOperator
 
 
@@ -33,14 +35,31 @@ def secret_difference_planes(
 
     Returns one full-resolution float plane per component.  Adding these
     (after the PSP's transform) to the served public pixels completes
-    Eq. 2.
+    Eq. 2.  ``secret + correction`` is Eq. 1 against an all-zero public
+    part, so the sum is formed in the coefficient domain and rendered
+    once.
     """
-    secret_planes = coefficients_to_planes(secret, level_shift=False)
-    correction = correction_image(secret, threshold)
-    correction_planes = coefficients_to_planes(correction, level_shift=False)
-    return [
-        s + c for s, c in zip(secret_planes, correction_planes)
+    components = [
+        ComponentInfo(
+            identifier=component.identifier,
+            h_sampling=component.h_sampling,
+            v_sampling=component.v_sampling,
+            quant_table=component.quant_table,
+            coefficients=recombine_block_arrays(
+                np.zeros_like(component.coefficients),
+                component.coefficients,
+                threshold,
+            ),
+        )
+        for component in secret.components
     ]
+    difference = CoefficientImage(
+        width=secret.width,
+        height=secret.height,
+        components=components,
+        progressive=False,
+    )
+    return coefficients_to_planes(difference, level_shift=False)
 
 
 def reconstruct_transformed_planes(

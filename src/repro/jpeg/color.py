@@ -37,14 +37,28 @@ def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
     """Convert float YCbCr back to uint8 RGB, clipping to [0, 255]."""
     if ycbcr.ndim != 3 or ycbcr.shape[2] != 3:
         raise ValueError(f"expected (h, w, 3) image, got {ycbcr.shape}")
-    y = ycbcr[..., 0].astype(np.float64)
-    cb = ycbcr[..., 1].astype(np.float64) - 128.0
-    cr = ycbcr[..., 2].astype(np.float64) - 128.0
-    r = y + 2.0 * (1.0 - _KR) * cr
-    b = y + 2.0 * (1.0 - _KB) * cb
-    g = (y - _KR * r - _KB * b) / _KG
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
+    # In-place arithmetic on as few full-size temporaries as possible;
+    # every value sees the same IEEE operations as the textbook formula
+    # r = y + 2(1 - kr) cr, b = y + 2(1 - kb) cb,
+    # g = (y - kr r - kb b) / kg.
+    y = np.asarray(ycbcr[..., 0], dtype=np.float64)
+    r = np.subtract(ycbcr[..., 2], 128.0, dtype=np.float64)
+    r *= 2.0 * (1.0 - _KR)
+    r += y
+    b = np.subtract(ycbcr[..., 1], 128.0, dtype=np.float64)
+    b *= 2.0 * (1.0 - _KB)
+    b += y
+    g = np.multiply(r, _KR)
+    np.subtract(y, g, out=g)
+    kb_b = np.multiply(b, _KB)
+    g -= kb_b
+    g /= _KG
+    rgb = np.empty(ycbcr.shape, dtype=np.uint8)
+    for channel, values in enumerate((r, g, b)):
+        np.round(values, out=values)
+        np.clip(values, 0, 255, out=values)
+        rgb[..., channel] = values
+    return rgb
 
 
 def subsample_plane(plane: np.ndarray, factor_y: int, factor_x: int) -> np.ndarray:

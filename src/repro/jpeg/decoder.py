@@ -1121,7 +1121,8 @@ def coefficients_to_planes(
         dequantized = dequantize(
             component.coefficients, component.quant_table
         )
-        pixels = inverse_dct(dequantized) + offset
+        pixels = inverse_dct(dequantized)
+        pixels += offset
         plane_h, plane_w = image.component_plane_size(index)
         plane = blocks_to_plane(pixels, plane_h, plane_w)
         factor_y = image.max_v_sampling // component.v_sampling

@@ -129,19 +129,22 @@ def parse_segments(data: bytes) -> list[Segment]:
 
 
 def _find_scan_end(data: bytes, position: int) -> int:
-    """Advance past entropy-coded data to the next true marker."""
-    while position < len(data) - 1:
-        if data[position] == 0xFF:
-            next_byte = data[position + 1]
-            if next_byte == 0x00:
-                position += 2
-                continue
-            if RST0 <= next_byte <= RST7:
-                position += 2
-                continue
-            return position
-        position += 1
-    return len(data)
+    """Advance past entropy-coded data to the next true marker.
+
+    Stuffed ``0xFF 0x00`` pairs and RST0-RST7 markers belong to the
+    scan; a trailing lone ``0xFF`` or no marker at all ends it at
+    ``len(data)``.
+    """
+    last = len(data) - 1
+    while True:
+        position = data.find(b"\xff", position, last)
+        if position < 0:
+            return len(data)
+        next_byte = data[position + 1]
+        if next_byte == 0x00 or RST0 <= next_byte <= RST7:
+            position += 2
+            continue
+        return position
 
 
 def serialize_segments(segments: list[Segment]) -> bytes:

@@ -84,4 +84,4 @@ def quantize(coefficients: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def dequantize(quantized: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Inverse of :func:`quantize` (up to the quantization loss)."""
-    return quantized.astype(np.float64) * table.astype(np.float64)
+    return np.multiply(quantized, table, dtype=np.float64)

@@ -643,7 +643,8 @@ class ServingEngine:
         rather than the decrypted tier-2 — ``secret_hit`` then means
         "the envelope bytes were already cached".  The envelope
         decrypt is re-done in the worker; it is AES-CTR over a few
-        kilobytes, noise next to the entropy decode the pool exists to
+        kilobytes, small next to the pixel pipeline (dequantise,
+        inverse DCT, resize, colour conversion) the pool exists to
         parallelize.
         """
         from repro.api.pipeline import DecryptTask, run_decrypt_task

@@ -14,7 +14,7 @@ manifestly linear, which the P3 Eq. 2 reconstruction relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -88,6 +88,19 @@ def _weight_matrix(
     return weights
 
 
+@lru_cache(maxsize=256)
+def _is_identity(in_size: int, out_size: int, kernel_name: str) -> bool:
+    """Whether :func:`_weight_matrix` is exactly the identity.
+
+    True for box, bilinear and bicubic at scale 1, whose kernels are 1
+    at 0 and exactly 0 at the other integer taps; Lanczos3's ``sinc``
+    leaves ~1e-17 residues there, so it never qualifies.
+    """
+    return in_size == out_size and np.array_equal(
+        _weight_matrix(in_size, out_size, kernel_name), np.eye(in_size)
+    )
+
+
 def resize_plane(
     plane: np.ndarray, out_height: int, out_width: int, kernel: str = "bilinear"
 ) -> np.ndarray:
@@ -97,6 +110,10 @@ def resize_plane(
     if out_height < 1 or out_width < 1:
         raise ValueError(f"invalid output size {out_height}x{out_width}")
     in_height, in_width = plane.shape
+    if _is_identity(in_height, out_height, kernel) and _is_identity(
+        in_width, out_width, kernel
+    ):
+        return plane.astype(np.float64)
     weights_rows = _weight_matrix(in_height, out_height, kernel)
     weights_cols = _weight_matrix(in_width, out_width, kernel)
     return weights_rows @ plane.astype(np.float64) @ weights_cols.T
